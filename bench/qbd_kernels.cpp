@@ -1,6 +1,6 @@
 // Sparse-vs-dense timings of the QBD hot-path kernels, with the bitwise
-// equivalence checked in-bench. Emits BENCH_qbd.json (to argv[1] or the
-// working directory).
+// equivalence checked in-bench. Emits BENCH_qbd.json (to --out, default
+// the working directory).
 //
 // The configuration is chosen to stress the structured kernels the way
 // the paper's larger experiments do: 4 classes, full-machine partitions
@@ -25,6 +25,7 @@
 #include "phase/builders.hpp"
 #include "phase/uniformization.hpp"
 #include "qbd/rmatrix.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -78,19 +79,18 @@ void require(bool ok, const std::string& what) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: qbd_kernels [--min-tiled-speedup=X] [out.json]
+  gs::util::Cli cli("qbd_kernels",
+                    "Sparse/dense and tiled/untiled QBD kernel timings "
+                    "with in-bench bitwise checks; writes BENCH_qbd.json.");
+  cli.add_flag("out", "BENCH_qbd.json", "output JSON path");
   // The gate fails the run when the tiled log-reduction speedup lands
   // under X — CI uses it as a perf-regression tripwire.
-  std::string out_path = "BENCH_qbd.json";
-  double min_tiled_speedup = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--min-tiled-speedup=", 0) == 0) {
-      min_tiled_speedup = std::atof(arg.c_str() + 20);
-    } else {
-      out_path = arg;
-    }
-  }
+  cli.add_flag("min-tiled-speedup", "0",
+               "fail when the tiled log-reduction speedup is below this "
+               "(0 = no gate)");
+  if (!cli.parse(argc, argv)) return 2;
+  const std::string out_path = cli.get_string("out");
+  const double min_tiled_speedup = cli.get_double("min-tiled-speedup");
   const int reps = 5;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 

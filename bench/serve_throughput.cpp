@@ -1,8 +1,8 @@
 // Service-layer timings through the full NDJSON path (serialize, hash,
 // cache, solve): cold vs cached vs warm-started solve latency on the
-// paper's Figure 2 system, and batched sweep throughput at 1, 4, and 8
+// paper's Figure 2 system, and sweep throughput at 1, 4, and 8
 // service threads. The claims the serve/ subsystem makes are checked
-// in-bench and recorded in BENCH_serve.json (to argv[1] or the working
+// in-bench and recorded in BENCH_serve.json (to --out, default the working
 // directory):
 //   - a cache hit skips the solver entirely,
 //   - a warm-started perturbed solve takes fewer fixed-point iterations
@@ -23,6 +23,7 @@
 #include "obs/obs.hpp"
 #include "serve/canonical.hpp"
 #include "serve/service.hpp"
+#include "util/cli.hpp"
 #include "workload/paper_configs.hpp"
 
 namespace {
@@ -89,7 +90,12 @@ double median(std::vector<double> xs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_serve.json";
+  gs::util::Cli cli("serve_throughput",
+                    "Service-layer latency and sweep throughput through the "
+                    "NDJSON path; writes BENCH_serve.json.");
+  cli.add_flag("out", "BENCH_serve.json", "output JSON path");
+  if (!cli.parse(argc, argv)) return 2;
+  const std::string out_path = cli.get_string("out");
   const int reps = 5;
 
   // Count the whole run's solver/cache/arena activity into the emitted

@@ -12,7 +12,8 @@
 //     host cannot run 2 lanes in parallel, because no scheduler can
 //     scale a CPU-bound sweep past the cores that exist.
 //
-//   $ ./sweep_scaling [out.json] [--threads=1,2,4,8] [--min-scaling=1.3]
+//   $ ./sweep_scaling [--out=BENCH_sweep.json] [--threads=1,2,4,8]
+//                     [--min-scaling=1.3]
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -27,6 +28,7 @@
 #include "gang/solver.hpp"
 #include "json/json.hpp"
 #include "obs/obs.hpp"
+#include "util/cli.hpp"
 #include "workload/paper_configs.hpp"
 #include "workload/sweep.hpp"
 
@@ -79,32 +81,31 @@ std::int64_t total_iterations(const std::vector<SweepPoint>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_sweep.json";
+  gs::util::Cli cli("sweep_scaling",
+                    "Warm-chained 64-point Figure 2 sweep throughput across "
+                    "thread counts; writes BENCH_sweep.json.");
+  cli.add_flag("out", "BENCH_sweep.json", "output JSON path");
+  cli.add_flag("threads", "1,2,4,8", "comma-separated thread counts");
+  cli.add_flag("min-scaling", "0",
+               "fail when the highest thread count's speedup over 1 thread "
+               "is below this (0 = no gate)");
+  if (!cli.parse(argc, argv)) return 2;
+  const std::string out_path = cli.get_string("out");
+  const double min_scaling = cli.get_double("min-scaling");
+  std::vector<int> thread_counts;
+  const std::string list = cli.get_string("threads");
+  for (std::size_t pos = 0; pos < list.size();) {
+    const std::size_t comma = list.find(',', pos);
+    const std::size_t end = comma == std::string::npos ? list.size() : comma;
+    thread_counts.push_back(std::atoi(list.substr(pos, end - pos).c_str()));
+    pos = end + 1;
+  }
+  std::sort(thread_counts.begin(), thread_counts.end());
+  require(!thread_counts.empty() && thread_counts.front() >= 1,
+          "--threads needs a comma-separated list of counts >= 1");
   // Counter-only metrics ride into the emitted JSON; relaxed atomic
   // updates do not move the throughput medians.
   gs::obs::configure({/*metrics=*/true, /*trace=*/false});
-  std::vector<int> thread_counts = {1, 2, 4, 8};
-  double min_scaling = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0) {
-      thread_counts.clear();
-      std::string list = arg.substr(10);
-      for (std::size_t pos = 0; pos < list.size();) {
-        const std::size_t comma = list.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? list.size() : comma;
-        thread_counts.push_back(std::atoi(list.substr(pos, end - pos).c_str()));
-        pos = end + 1;
-      }
-      require(!thread_counts.empty() && thread_counts.front() >= 1,
-              "--threads needs a comma-separated list starting at >= 1");
-    } else if (arg.rfind("--min-scaling=", 0) == 0) {
-      min_scaling = std::atof(arg.substr(14).c_str());
-    } else {
-      out_path = arg;
-    }
-  }
-  std::sort(thread_counts.begin(), thread_counts.end());
 
   // Figure 2's system (rho = 0.4), quantum mean swept across 64 points —
   // the paper's x-axis extended past the figure's right edge so the

@@ -12,8 +12,7 @@
 // what one log-reduction iteration needs (H and L each appear in three
 // of the four squaring products).
 //
-// Bitwise discipline (the same contract as linalg/sparse.hpp and
-// linalg/batch.hpp): for every output element (i, j) the terms
+// Bitwise discipline (the same contract as linalg/sparse.hpp): for every output element (i, j) the terms
 // a(i, k) * b(k, j) are accumulated in ascending-k order, one rounded
 // multiply and one rounded add per term, starting from +0.0. Where this
 // kernel and multiply_into differ in *which* terms they touch, the

@@ -14,7 +14,6 @@ struct WorkspaceArena::Entry {
   bool busy = false;
   std::uint64_t stamp = 0;  ///< last-borrowed tick, for LRU recycling
   std::vector<Workspace> slots;
-  std::vector<BatchWorkspace> batch_slots;
 };
 
 namespace {
@@ -56,32 +55,9 @@ std::size_t WorkspaceArena::Lease::size() const {
   return entry_ == nullptr ? 0 : entry_->slots.size();
 }
 
-WorkspaceArena::BatchLease& WorkspaceArena::BatchLease::operator=(
-    BatchLease&& other) noexcept {
-  if (this != &other) {
-    if (entry_ != nullptr) entry_->busy = false;
-    entry_ = other.entry_;
-    other.entry_ = nullptr;
-  }
-  return *this;
-}
-
-WorkspaceArena::BatchLease::~BatchLease() {
-  if (entry_ != nullptr) entry_->busy = false;
-}
-
-BatchWorkspace& WorkspaceArena::BatchLease::operator[](std::size_t i) {
-  GS_ASSERT(entry_ != nullptr && i < entry_->batch_slots.size());
-  return entry_->batch_slots[i];
-}
-
-std::size_t WorkspaceArena::BatchLease::size() const {
-  return entry_ == nullptr ? 0 : entry_->batch_slots.size();
-}
-
 namespace {
 
-// Shared acquisition for scalar and batch borrows: hit on this thread's
+// Acquisition for a borrow: hit on this thread's
 // free entry for the key, else recycle the LRU free entry (evicting the
 // warm scratch it cached for its old key) or grow a fresh one.
 WorkspaceArena::Entry* acquire(std::uint64_t key) {
@@ -107,7 +83,7 @@ WorkspaceArena::Entry* acquire(std::uint64_t key) {
       // different structure, but the solvers reshape on use, so only the
       // warm-capacity benefit is lost, never correctness. The old key's
       // cached scratch is gone, though — that is an eviction, and the
-      // counter is how batch-workspace pressure shows up in `stats`.
+      // counter is how workspace pressure shows up in `stats`.
       obs::count("qbd.arena.recycle");
       obs::count("qbd.arena.evict");
       chosen = lru_free;
@@ -131,13 +107,6 @@ WorkspaceArena::Lease WorkspaceArena::borrow(std::uint64_t key,
   Entry* chosen = acquire(key);
   if (chosen->slots.size() < count) chosen->slots.resize(count);
   return Lease(chosen);
-}
-
-WorkspaceArena::BatchLease WorkspaceArena::borrow_batch(std::uint64_t key,
-                                                        std::size_t count) {
-  Entry* chosen = acquire(key);
-  if (chosen->batch_slots.size() < count) chosen->batch_slots.resize(count);
-  return BatchLease(chosen);
 }
 
 std::size_t WorkspaceArena::thread_entries() { return arena().entries.size(); }

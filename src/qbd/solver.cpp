@@ -157,8 +157,8 @@ QbdSolution solve(const QbdProcess& process, const SolveOptions& opts,
     // Newton's inner Sylvester sweep contracts like sp(R): near
     // saturation it can exhaust before the quadratic outer step pays
     // off. That throw is recoverable by construction — fall back to the
-    // quadratic default on the same blocks, counted so the bench and
-    // the batched path (solve_r_batch mirrors this per lane) can see it.
+    // quadratic default on the same blocks, counted so the bench can
+    // see it.
     try {
       rres = solve_r_newton(blk.a0, blk.a1, blk.a2, opts.r_options, &w);
     } catch (const NumericalError&) {

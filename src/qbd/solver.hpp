@@ -133,9 +133,9 @@ QbdSolution solve(const QbdProcess& process, const SolveOptions& opts = {},
                   Workspace* ws = nullptr);
 
 /// The boundary stage of solve() for a caller that already has R in hand
-/// — the batched R solvers compute R for W chains in lock-step and then
-/// finish each lane through this: spectral-radius admission, the finite
-/// balance system, and normalization, bit-for-bit the tail of solve().
+/// (a bench timing the R and boundary stages apart, say): spectral-radius
+/// admission, the finite balance system, and normalization, bit-for-bit
+/// the tail of solve().
 /// Skips the drift check (the R computation already vouched for it).
 QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
                          const SolveOptions& opts = {},

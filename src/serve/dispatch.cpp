@@ -238,12 +238,13 @@ void Dispatcher::execute(std::uint64_t conn, Json request, bool coalescable,
 
   // Release the queue slot only after every response is queued, so
   // idle() going true guarantees the loop has all the bytes to flush.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --admitted_;
-    net_.inflight.store(static_cast<std::int64_t>(admitted_));
-    obs::gauge_set("serve.net.inflight", static_cast<double>(admitted_));
-  }
+  // Notify under the lock: once admitted_ reaches 0 the destructor's
+  // drain() may return and destroy cv_, so the notify must finish before
+  // that waiter can reacquire mu_.
+  std::lock_guard<std::mutex> lock(mu_);
+  --admitted_;
+  net_.inflight.store(static_cast<std::int64_t>(admitted_));
+  obs::gauge_set("serve.net.inflight", static_cast<double>(admitted_));
   cv_.notify_all();
 }
 

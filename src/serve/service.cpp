@@ -8,6 +8,7 @@
 #include "obs/obs.hpp"
 #include "serve/canonical.hpp"
 #include "util/cli.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/sweep.hpp"
 
 #include "gang/tuner.hpp"
@@ -281,12 +282,6 @@ json::Json EvalService::do_solve_batch(const Json& req) {
     stats_.batch_lanes += arr.size();
   }
 
-  std::size_t batch_width = 8;
-  if (const Json* w = req.find("batch_width")) {
-    GS_CHECK(w->as_int() >= 1, "batch_width must be >= 1");
-    batch_width = static_cast<std::size_t>(w->as_int());
-  }
-
   // Parse and hash every item before solving anything: a malformed item
   // is one structured error for the whole request (matching 'solve'),
   // not a half-answered batch.
@@ -313,9 +308,9 @@ json::Json EvalService::do_solve_batch(const Json& req) {
     shape[i] = structure_hash(params[i], opts[i]);
   }
 
-  // Cache hits answer their item directly; the rest become lock-step
-  // lanes. Donor slices are copied out under the lock so the batched
-  // solve itself runs unlocked (and no insert can invalidate them).
+  // Cache hits answer their item directly; the rest are solved below.
+  // Donor slices are copied out under the lock so the solves themselves
+  // run unlocked (and no insert can invalidate them).
   std::vector<Json> results(arr.size());
   std::vector<std::size_t> miss;
   std::vector<std::vector<phase::PhaseType>> donors;
@@ -352,22 +347,32 @@ json::Json EvalService::do_solve_batch(const Json& req) {
     }
   }
 
+  // Each miss is exactly the scalar solve a 'solve' request would run
+  // (warm from its donor when it has one), fanned out across the pool;
+  // a failing item carries its error string and the others still answer.
+  struct Outcome {
+    gang::SolveReport report;
+    std::string error;
+  };
+  std::vector<Outcome> outcomes(miss.size());
+  util::ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : util::ThreadPool::shared();
   const auto start = std::chrono::steady_clock::now();
-  std::vector<gang::BatchOutcome> outcomes;
-  if (!miss.empty()) {
-    std::vector<gang::GangSolver> solvers;
-    solvers.reserve(miss.size());
-    for (const std::size_t i : miss) solvers.emplace_back(params[i], opts[i]);
-    std::vector<gang::BatchItem> lanes;
-    lanes.reserve(miss.size());
-    for (std::size_t t = 0; t < miss.size(); ++t)
-      lanes.push_back(
-          {&solvers[t], donors[t].empty() ? nullptr : &donors[t]});
-    outcomes = gang::GangSolver::solve_batch(lanes, batch_width);
-  }
+  pool.parallel_for(miss.size(), [&](std::size_t t) {
+    const std::size_t i = miss[t];
+    const gang::GangSolver solver(params[i], opts[i]);
+    try {
+      outcomes[t].report = donors[t].empty() ? solver.solve()
+                                             : solver.solve_warm(donors[t]);
+    } catch (const Error& e) {
+      outcomes[t].error = e.what();
+    }
+  }, util::ParallelOptions{
+         static_cast<std::size_t>(std::max(1, options_.num_threads)),
+         /*grain=*/1});
   const double ms = elapsed_ms(start);
 
-  // Per-lane cache fills, in item order — exactly the entries a sequence
+  // Per-item cache fills, in item order — exactly the entries a sequence
   // of 'solve' requests would have created.
   std::lock_guard<std::mutex> lock(mu_);
   stats_.solve_ms_total += ms;
@@ -375,9 +380,8 @@ json::Json EvalService::do_solve_batch(const Json& req) {
   for (std::size_t t = 0; t < miss.size(); ++t) {
     const std::size_t i = miss[t];
     Json& out = results[i];
-    gang::BatchOutcome& oc = outcomes[t];
+    Outcome& oc = outcomes[t];
     out.set("cached", false);
-    out.set("batched", oc.batched);
     if (!oc.error.empty()) {
       out.set("error", oc.error);
       continue;
@@ -404,20 +408,18 @@ json::Json EvalService::do_solve_batch(const Json& req) {
 }
 
 json::Json EvalService::do_sweep(const Json& req) {
-  // Strict key set. The dispatch-tuning fields added here (chain_stride,
-  // batch_width) change speed, never answers — a silent typo would look
-  // like a correct but slow request, so unknown keys are an error with a
-  // nearest-match hint instead.
+  // Strict key set. The dispatch-tuning field chain_stride changes speed,
+  // never answers — a silent typo would look like a correct but slow
+  // request, so unknown keys are an error with a nearest-match hint
+  // instead.
   for (const auto& m : req.as_object()) {
     const std::string& k = m.key;
     if (k == "op" || k == "id" || k == "system" || k == "options" ||
-        k == "vary" || k == "warm_start" || k == "chain_stride" ||
-        k == "batch_width")
+        k == "vary" || k == "warm_start" || k == "chain_stride")
       continue;
     std::string msg = "unknown sweep field '" + k + "'";
     if (const auto hint = util::did_you_mean(
-            k, {"system", "options", "vary", "warm_start", "chain_stride",
-                "batch_width"}))
+            k, {"system", "options", "vary", "warm_start", "chain_stride"}))
       msg += " (did you mean '" + *hint + "'?)";
     throw InvalidArgument(msg);
   }
@@ -451,15 +453,11 @@ json::Json EvalService::do_sweep(const Json& req) {
   sweep_opts.warm_chain = options_.warm_start;
   if (const Json* w = req.find("warm_start"))
     sweep_opts.warm_chain = w->as_bool();
-  // Anchor spacing of the warm chain and lock-step lane count, exposed
-  // per request (defaults are the SweepOptions defaults).
+  // Anchor spacing of the warm chain, exposed per request (the default
+  // is the SweepOptions default).
   if (const Json* s = req.find("chain_stride")) {
     GS_CHECK(s->as_int() >= 1, "chain_stride must be >= 1");
     sweep_opts.chain_stride = static_cast<std::size_t>(s->as_int());
-  }
-  if (const Json* w = req.find("batch_width")) {
-    GS_CHECK(w->as_int() >= 1, "batch_width must be >= 1");
-    sweep_opts.batch_width = static_cast<std::size_t>(w->as_int());
   }
 
   const auto start = std::chrono::steady_clock::now();
@@ -647,6 +645,7 @@ std::string EvalService::summary() const {
      << stats_.solves_executed << " solves executed ("
      << stats_.warm_starts << " warm-started, "
      << stats_.fixed_point_iterations << " fixed-point iterations), "
+     << stats_.sweep_points << " sweep points solved, "
      << "cache " << cache_.size() << "/" << cache_.capacity() << " ("
      << stats_.cache_hits << " hits, " << stats_.cache_misses
      << " misses, " << cache_.evictions() << " evictions)";

@@ -1,4 +1,4 @@
-// The batched gang-model evaluation service behind gangd.
+// The gang-model evaluation service behind gangd.
 //
 // One EvalService owns the result cache, the warm-start index, and the
 // request counters. Requests and responses are JSON objects (one NDJSON
@@ -8,15 +8,13 @@
 //               LRU cache on a scenario-hash hit; on a miss, warm-started
 //               from the most recent solve with the same structure hash.
 //   solve_batch — many scenarios in one request. Cache hits answer per
-//               item; the misses run through gang::GangSolver::solve_batch,
-//               so same-shaped items solve lanes-abreast on the lock-step
-//               path (bitwise identical to per-item solves), and every
-//               lane fills the cache and warm index as if solved alone.
+//               item; each miss runs the same scalar solve a 'solve'
+//               request would (fanned out on the service's ThreadPool),
+//               and fills the cache and warm index as if solved alone.
 //   sweep     — a batch of solves over a varied parameter, fanned out on
 //               the service's ThreadPool (row order and results bitwise
-//               identical to sequential). Same-shaped points dispatch
-//               through the lock-step batch path (workload::sweep);
-//               requests tune it via 'batch_width' and 'chain_stride'.
+//               identical to sequential); requests tune the warm chain
+//               via 'chain_stride'.
 //   tune      — quantum optimization (gang::tuner) over a scenario.
 //   stats     — counters, cache state, latency aggregates.
 //   shutdown  — acknowledge and mark the service for termination.

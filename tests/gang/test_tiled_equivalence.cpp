@@ -1,8 +1,7 @@
-// End-to-end bitwise equivalence of the tiled-GEMM kernels and the
-// grouped per-class R solves across the paper's experimental
-// configurations (Figures 2-5): toggling RSolveOptions::tiled or
-// GangSolveOptions::group_classes must not move a single bit of any
-// reported number. Cyclic reduction, being a genuinely different
+// End-to-end bitwise equivalence of the tiled-GEMM kernels across the
+// paper's experimental configurations (Figures 2-5): toggling
+// RSolveOptions::tiled must not move a single bit of any reported
+// number. Cyclic reduction, being a genuinely different
 // algorithm, is held to tolerance instead.
 #include <gtest/gtest.h>
 
@@ -42,22 +41,14 @@ void expect_identical(const SolveReport& a, const SolveReport& b) {
   }
 }
 
-// One baseline solve per configuration (defaults: tiled on, grouped on),
-// compared against every off-toggle combination.
+// One baseline solve per configuration (defaults: tiled on), compared
+// against the tiled-off solve.
 void check_system(const SystemParams& sys, const std::string& name) {
   SCOPED_TRACE(name);
   const SolveReport base = GangSolver(sys, GangSolveOptions{}).solve();
-  for (const bool tiled : {true, false}) {
-    for (const bool grouped : {true, false}) {
-      if (tiled && grouped) continue;  // the baseline itself
-      SCOPED_TRACE(std::string("tiled=") + (tiled ? "on" : "off") +
-                   " grouped=" + (grouped ? "on" : "off"));
-      GangSolveOptions opts;
-      opts.qbd.r_options.tiled = tiled;
-      opts.group_classes = grouped;
-      expect_identical(base, GangSolver(sys, opts).solve());
-    }
-  }
+  GangSolveOptions untiled;
+  untiled.qbd.r_options.tiled = false;
+  expect_identical(base, GangSolver(sys, untiled).solve());
 }
 
 TEST(GangTiledEquivalence, Figure2LightLoad) {
@@ -84,44 +75,24 @@ TEST(GangTiledEquivalence, Figure5FavoredClass) {
                "figure5");
 }
 
-// The grouped path must also not change the threaded path's results —
-// it only engages sequentially, so with threads the toggle is inert.
-TEST(GangTiledEquivalence, ThreadedSolveUnaffectedByGrouping) {
-  workload::PaperKnobs knobs;
-  knobs.arrival_rate = 0.4;
-  const SystemParams sys = workload::paper_system(knobs);
-  GangSolveOptions threaded;
-  threaded.num_threads = 2;
-  GangSolveOptions threaded_ungrouped = threaded;
-  threaded_ungrouped.group_classes = false;
-  expect_identical(GangSolver(sys, threaded).solve(),
-                   GangSolver(sys, threaded_ungrouped).solve());
-  expect_identical(GangSolver(sys, threaded).solve(),
-                   GangSolver(sys, GangSolveOptions{}).solve());
-}
-
 // Cyclic reduction end to end on a paper configuration: a different
 // algorithm, so tolerance not bits — but the fixed point must land on
-// the same answer, through the grouped path's per-lane dispatch too.
+// the same answer.
 TEST(GangTiledEquivalence, CyclicReductionAgreesAtTolerance) {
   workload::PaperKnobs knobs;
   knobs.arrival_rate = 0.4;
   const SystemParams sys = workload::paper_system(knobs);
   const SolveReport base = GangSolver(sys, GangSolveOptions{}).solve();
-  for (const bool grouped : {true, false}) {
-    SCOPED_TRACE(std::string("grouped=") + (grouped ? "on" : "off"));
-    GangSolveOptions cr;
-    cr.qbd.r_method = qbd::RMethod::kCyclicReduction;
-    cr.group_classes = grouped;
-    const SolveReport got = GangSolver(sys, cr).solve();
-    ASSERT_EQ(got.per_class.size(), base.per_class.size());
-    EXPECT_EQ(got.converged, base.converged);
-    for (std::size_t p = 0; p < base.per_class.size(); ++p) {
-      SCOPED_TRACE("class " + std::to_string(p));
-      EXPECT_NEAR(got.per_class[p].mean_jobs, base.per_class[p].mean_jobs,
-                  1e-6);
-      EXPECT_NEAR(got.per_class[p].sp_r, base.per_class[p].sp_r, 1e-8);
-    }
+  GangSolveOptions cr;
+  cr.qbd.r_method = qbd::RMethod::kCyclicReduction;
+  const SolveReport got = GangSolver(sys, cr).solve();
+  ASSERT_EQ(got.per_class.size(), base.per_class.size());
+  EXPECT_EQ(got.converged, base.converged);
+  for (std::size_t p = 0; p < base.per_class.size(); ++p) {
+    SCOPED_TRACE("class " + std::to_string(p));
+    EXPECT_NEAR(got.per_class[p].mean_jobs, base.per_class[p].mean_jobs,
+                1e-6);
+    EXPECT_NEAR(got.per_class[p].sp_r, base.per_class[p].sp_r, 1e-8);
   }
 }
 

@@ -1,7 +1,6 @@
 // The tiled-GEMM toggle must be invisible in the numbers, exactly like
 // the sparse toggle: with and without RSolveOptions::tiled the
-// log-reduction solver (scalar and batched, at several widths) must
-// produce bitwise-identical results. Cyclic reduction is a *different*
+// log-reduction solver must produce bitwise-identical results. Cyclic reduction is a *different*
 // algorithm — its own rounding path — so it is cross-checked against the
 // other two backends at tolerance, not bit for bit.
 #include <gtest/gtest.h>
@@ -9,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "qbd/batch.hpp"
 #include "qbd/rmatrix.hpp"
 #include "qbd/solver.hpp"
 #include "qbd_test_util.hpp"
@@ -18,7 +16,6 @@
 namespace {
 
 using namespace gs::qbd;
-using gs::linalg::LaneMask;
 using gs::linalg::Matrix;
 using gs::linalg::max_abs_diff;
 
@@ -71,8 +68,8 @@ TEST(TiledEquivalence, Me21) {
   check_process(gs::qbd::testing::me21(0.7, 1.0), "me21");
 }
 
-// A d-phase positive-recurrent family (same generator family as the
-// batch R-solver tests) so the batched paths see d > 2 tiles with edges.
+// A d-phase positive-recurrent family, so the tiled kernels see d > 2
+// tiles with edges.
 QbdBlocks make_blocks(std::size_t d, double lambda, double mu) {
   QbdBlocks b;
   b.a0.assign_zero(d, d);
@@ -87,49 +84,19 @@ QbdBlocks make_blocks(std::size_t d, double lambda, double mu) {
   return b;
 }
 
-TEST(TiledEquivalence, BatchedWidths) {
+TEST(TiledEquivalence, MultiPhaseChainsWithTileEdges) {
   const std::size_t d = 11;  // not a multiple of either tile dimension
-  for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-    SCOPED_TRACE("width=" + std::to_string(width));
-    BatchBlocks blocks;
-    blocks.ensure(d, width);
-    std::vector<QbdBlocks> lanes;
-    for (std::size_t l = 0; l < width; ++l) {
-      lanes.push_back(
-          make_blocks(d, 0.2 + 0.1 * static_cast<double>(l), 1.1));
-      blocks.load_lane(l, lanes[l]);
-    }
-
-    RSolveOptions tiled_on;
-    tiled_on.tiled = true;
-    RSolveOptions tiled_off;
-    tiled_off.tiled = false;
-
-    BatchWorkspace w_on, w_off;
-    BatchRSolveResult r_on, r_off;
-    solve_r_logreduction_batch(blocks, LaneMask(width), tiled_on, w_on, r_on);
-    solve_r_logreduction_batch(blocks, LaneMask(width), tiled_off, w_off,
-                               r_off);
-
-    Matrix got_on, got_off;
-    for (std::size_t l = 0; l < width; ++l) {
-      SCOPED_TRACE("lane " + std::to_string(l));
-      ASSERT_TRUE(r_on.ok(l)) << r_on.error[l];
-      ASSERT_TRUE(r_off.ok(l)) << r_off.error[l];
-      EXPECT_EQ(r_on.iterations[l], r_off.iterations[l]);
-      EXPECT_EQ(r_on.residual[l], r_off.residual[l]);
-      r_on.r.store_lane(l, got_on);
-      r_off.r.store_lane(l, got_off);
-      EXPECT_EQ(max_abs_diff(got_on, got_off), 0.0);
-
-      // Both agree with the scalar solver on this lane's blocks, bit for
-      // bit (the scalar default is tiled; the chain closes the loop).
-      const RSolveResult scalar = solve_r_logreduction(
-          lanes[l].a0, lanes[l].a1, lanes[l].a2, tiled_on);
-      EXPECT_EQ(max_abs_diff(got_on, scalar.r), 0.0);
-      EXPECT_EQ(r_on.iterations[l], scalar.iterations);
-      EXPECT_EQ(r_on.residual[l], scalar.residual);
-    }
+  RSolveOptions tiled_on;
+  tiled_on.tiled = true;
+  RSolveOptions tiled_off;
+  tiled_off.tiled = false;
+  for (int k = 0; k < 8; ++k) {
+    const double lambda = 0.2 + 0.1 * k;
+    SCOPED_TRACE("lambda=" + std::to_string(lambda));
+    const QbdBlocks blk = make_blocks(d, lambda, 1.1);
+    expect_r_identical(
+        solve_r_logreduction(blk.a0, blk.a1, blk.a2, tiled_on),
+        solve_r_logreduction(blk.a0, blk.a1, blk.a2, tiled_off));
   }
 }
 
@@ -190,35 +157,6 @@ TEST(CyclicReduction, MultiPhaseChain) {
   const RSolveResult lr = solve_r_logreduction(blk.a0, blk.a1, blk.a2);
   EXPECT_LT(max_abs_diff(cr.r, lr.r), 1e-9);
   EXPECT_LT(cr.residual, 1e-10);
-}
-
-TEST(CyclicReduction, BatchLanesMatchScalarExactly) {
-  // The batched dispatch runs CR per lane through the scalar solver, so
-  // the agreement here is bitwise by construction — pinned anyway.
-  const std::size_t d = 7;
-  const std::size_t width = 4;
-  BatchBlocks blocks;
-  blocks.ensure(d, width);
-  std::vector<QbdBlocks> lanes;
-  for (std::size_t l = 0; l < width; ++l) {
-    lanes.push_back(make_blocks(d, 0.25 + 0.1 * static_cast<double>(l), 1.3));
-    blocks.load_lane(l, lanes[l]);
-  }
-  BatchWorkspace w;
-  BatchRSolveResult res;
-  solve_r_batch(blocks, LaneMask(width), RMethod::kCyclicReduction,
-                RSolveOptions{}, w, res);
-  Matrix got;
-  for (std::size_t l = 0; l < width; ++l) {
-    SCOPED_TRACE("lane " + std::to_string(l));
-    ASSERT_TRUE(res.ok(l)) << res.error[l];
-    const RSolveResult scalar = solve_r_cyclic_reduction(
-        lanes[l].a0, lanes[l].a1, lanes[l].a2);
-    res.r.store_lane(l, got);
-    EXPECT_EQ(max_abs_diff(got, scalar.r), 0.0);
-    EXPECT_EQ(res.iterations[l], scalar.iterations);
-    EXPECT_EQ(res.residual[l], scalar.residual);
-  }
 }
 
 TEST(CyclicReduction, ExhaustionThrowsWithMethodName) {

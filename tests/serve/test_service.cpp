@@ -342,8 +342,8 @@ std::vector<gs::gang::SystemParams> perturbed_systems(
 }
 
 TEST(Service, SolveBatchMatchesPerItemSolvesBitwise) {
-  // Same-shaped items ride the lock-step path; every per-item result
-  // must be the bytes a sequence of individual solves would have sent.
+  // Every per-item result must be the bytes a sequence of individual
+  // solves would have sent.
   // Warm starts are off on both sides so each item solves cold either
   // way (otherwise the sequential service would warm item 2 from item 1
   // while the batch solves all three cold).
@@ -367,7 +367,7 @@ TEST(Service, SolveBatchMatchesPerItemSolvesBitwise) {
     SCOPED_TRACE("item " + std::to_string(i));
     const Json& got = results[i];
     EXPECT_FALSE(got.at("cached").as_bool());
-    EXPECT_TRUE(got.at("batched").as_bool());
+    EXPECT_EQ(got.find("batched"), nullptr);  // field removed from the wire
     EXPECT_EQ(got.at("hash").as_string(), want[i].at("hash").as_string());
     EXPECT_EQ(got.at("iterations").as_int(),
               want[i].at("iterations").as_int());
@@ -379,7 +379,7 @@ TEST(Service, SolveBatchMatchesPerItemSolvesBitwise) {
 }
 
 TEST(Service, SolveBatchFillsCachePerLane) {
-  // Every lane of a batch caches as if solved alone: individual repeats
+  // Every item of a batch caches as if solved alone: individual repeats
   // hit, and a repeat of the whole batch is answered entirely from cache.
   EvalService service;
   const auto systems = perturbed_systems({0.3, 0.35, 0.4});
@@ -438,8 +438,8 @@ TEST(Service, SolveBatchWarmStartsFromPriorSolveBitwise) {
 }
 
 TEST(Service, SolveBatchUnstableItemGetsErrorStringOthersSucceed) {
-  // One unstable lane must not poison the batch: its item carries the
-  // scalar error string, the others answer, and the daemon stays up.
+  // One unstable item must not poison the batch: it carries the scalar
+  // error string, the others answer, and the daemon stays up.
   EvalService service;
   const auto systems = perturbed_systems({0.3, 2.0, 0.4});
   const Json resp =
@@ -455,7 +455,7 @@ TEST(Service, SolveBatchUnstableItemGetsErrorStringOthersSucceed) {
 
   const Json ok =
       Json::parse(service.handle_line(solve_request(systems[0]).dump()));
-  EXPECT_TRUE(ok.at("cached").as_bool());  // healthy lanes filled the cache
+  EXPECT_TRUE(ok.at("cached").as_bool());  // healthy items filled the cache
 }
 
 TEST(Service, SolveBatchMalformedItemIsOneStructuredError) {
@@ -506,37 +506,29 @@ TEST(Service, SweepUnknownKeyGetsDidYouMeanHint) {
       << resp.dump();
 }
 
-TEST(Service, SweepAcceptsChainStrideAndBatchWidthWithoutChangingRows) {
-  const auto make_req = [] {
-    Json req = Json::object();
-    req.set("op", "sweep");
-    req.set("system", gs::serve::params_to_json(paper_system()));
-    Json vary = Json::object();
-    vary.set("param", "quantum_mean");
-    Json values = Json::array();
-    for (const double x : {0.5, 0.8, 1.1, 1.4, 1.7, 2.0})
-      values.push_back(x);
-    vary.set("values", std::move(values));
-    req.set("vary", std::move(vary));
-    return req;
-  };
+Json quantum_sweep_request() {
+  Json req = Json::object();
+  req.set("op", "sweep");
+  req.set("system", gs::serve::params_to_json(paper_system()));
+  Json vary = Json::object();
+  vary.set("param", "quantum_mean");
+  Json values = Json::array();
+  for (const double x : {0.5, 0.8, 1.1, 1.4, 1.7, 2.0}) values.push_back(x);
+  vary.set("values", std::move(values));
+  req.set("vary", std::move(vary));
+  return req;
+}
+
+TEST(Service, SweepChainStrideKeepsAnswers) {
   EvalService plain_service;
   const Json plain =
-      Json::parse(plain_service.handle_line(make_req().dump()));
+      Json::parse(plain_service.handle_line(quantum_sweep_request().dump()));
   ASSERT_EQ(plain.find("error"), nullptr) << plain.dump();
-
-  // batch_width only changes dispatch shape: rows stay bitwise equal.
-  Json wide_req = make_req();
-  wide_req.set("batch_width", 4);
-  EvalService wide_service;
-  const Json wide = Json::parse(wide_service.handle_line(wide_req.dump()));
-  ASSERT_EQ(wide.find("error"), nullptr) << wide.dump();
-  EXPECT_EQ(wide.at("points").dump(), plain.at("points").dump());
 
   // chain_stride moves the warm-chain anchors, so warm-started rows take
   // a different iteration path to the same fixed point (within tol) —
   // accepted, answered, and numerically equivalent rather than bitwise.
-  Json strided_req = make_req();
+  Json strided_req = quantum_sweep_request();
   strided_req.set("chain_stride", 2);
   EvalService strided_service;
   const Json strided =
@@ -549,11 +541,39 @@ TEST(Service, SweepAcceptsChainStrideAndBatchWidthWithoutChangingRows) {
     EXPECT_NEAR(a[i].at("total_mean_jobs").as_double(),
                 b[i].at("total_mean_jobs").as_double(), 1e-4);
 
-  Json bad = make_req();
-  bad.set("batch_width", 0);
+  Json bad = quantum_sweep_request();
+  bad.set("chain_stride", 0);
   EvalService bad_service;
   const Json err = Json::parse(bad_service.handle_line(bad.dump()));
   ASSERT_NE(err.find("error"), nullptr);
+}
+
+TEST(Service, SweepRejectsRemovedBatchWidthField) {
+  // batch_width tuned the lock-step batch path, which no longer exists;
+  // it now takes the strict key set's unknown-field error.
+  Json req = quantum_sweep_request();
+  req.set("batch_width", 4);
+  EvalService service;
+  const Json resp = Json::parse(service.handle_line(req.dump()));
+  ASSERT_NE(resp.find("error"), nullptr);
+  EXPECT_EQ(resp.at("error").at("type").as_string(), "invalid_argument");
+  EXPECT_NE(resp.at("error").at("message").as_string().find(
+                "unknown sweep field 'batch_width'"),
+            std::string::npos)
+      << resp.dump();
+}
+
+TEST(Service, SummaryCountsSweepPoints) {
+  // A session that only sweeps runs no 'solve' op, yet solved every
+  // point: the exit summary must say so.
+  EvalService service;
+  const Json resp =
+      Json::parse(service.handle_line(quantum_sweep_request().dump()));
+  ASSERT_EQ(resp.find("error"), nullptr) << resp.dump();
+  EXPECT_EQ(service.stats().sweep_points, 6u);
+  EXPECT_NE(service.summary().find("6 sweep points solved"),
+            std::string::npos)
+      << service.summary();
 }
 
 TEST(Service, StatsCountsSolveBatchOp) {

@@ -23,6 +23,7 @@ TEST(Sweep, CollectsModelResultsPerPoint) {
     ASSERT_EQ(pt.model_n.size(), 4u);
     for (double n : pt.model_n) EXPECT_GT(n, 0.0);
     EXPECT_GE(pt.iterations, 1);
+    EXPECT_TRUE(pt.converged);
     EXPECT_TRUE(pt.sim_n.empty());  // simulation not requested
   }
   EXPECT_DOUBLE_EQ(pts[1].x, 1.0);
@@ -39,6 +40,7 @@ TEST(Sweep, UnstablePointsAreRecordedNotFatal) {
   EXPECT_TRUE(pts[0].error.empty());
   EXPECT_FALSE(pts[1].error.empty());
   EXPECT_TRUE(pts[1].model_n.empty());
+  EXPECT_FALSE(pts[1].converged);
 }
 
 TEST(Sweep, SimulationColumnsWhenRequested) {
@@ -73,6 +75,39 @@ TEST(Sweep, TableLaysOutPointsAndNotes) {
   table.print(os);
   EXPECT_NE(os.str().find("unstable"), std::string::npos);
   EXPECT_NE(os.str().find("rho"), std::string::npos);
+}
+
+TEST(Sweep, UnconvergedPointsAreFlaggedAndNoted) {
+  // Two iterations cannot reach the 1e-6 tolerance on the paper's
+  // Figure 2 system: each row keeps its last iterate, is flagged, and
+  // the table says so instead of printing it as a normal row.
+  const auto make = [](double quantum) {
+    PaperKnobs knobs;
+    knobs.quantum_mean = quantum;
+    return paper_system(knobs);
+  };
+  SweepOptions opts;
+  opts.solver.max_iterations = 2;
+  const auto pts = sweep({0.5, 1.0}, make, opts);
+  ASSERT_EQ(pts.size(), 2u);
+  for (const auto& pt : pts) {
+    EXPECT_TRUE(pt.error.empty());
+    EXPECT_EQ(pt.iterations, 2);
+    EXPECT_FALSE(pt.converged);
+    EXPECT_EQ(pt.model_n.size(), 4u);
+  }
+  std::ostringstream os;
+  sweep_table("quantum", pts, 4).print(os);
+  std::size_t notes = 0;
+  for (std::size_t at = os.str().find("unconverged"); at != std::string::npos;
+       at = os.str().find("unconverged", at + 1))
+    ++notes;
+  EXPECT_EQ(notes, 2u);
+
+  // With the default budget the same points converge and carry no note.
+  std::ostringstream ok;
+  sweep_table("quantum", sweep({0.5, 1.0}, make), 4).print(ok);
+  EXPECT_EQ(ok.str().find("unconverged"), std::string::npos);
 }
 
 }  // namespace

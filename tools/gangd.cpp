@@ -1,4 +1,4 @@
-// gangd: the batched gang-model evaluation daemon.
+// gangd: the gang-model evaluation daemon.
 //
 // Reads NDJSON requests (one JSON object per line) and answers one JSON
 // response per line. With --port=0 (the default) the transport is
