@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "linalg/block_tridiag.hpp"
 #include "linalg/lu.hpp"
@@ -428,20 +429,55 @@ ClassProcess::ArrivalView ClassProcess::arrival_view(
 }
 
 ClassProcess::TruncScan ClassProcess::truncation_scan(
-    const qbd::QbdSolution& sol, const TruncationOptions& trunc) const {
+    const qbd::QbdSolution& sol, const TruncationOptions& trunc,
+    Vector& xi) const {
+  const Vector& alpha_g = quantum_.alpha();
+  const Vector& sf0 = away_.exit_rates();
+  GS_ASSERT(sol.boundary_levels() == c_ + 1);
+
+  // Slice beginnings (the Palm distribution xi): flow through the away-
+  // exit transitions, split by the quantum's initial vector; the level-0
+  // flow is the atom (zero-length slice).
+  TruncScan out;
+  {
+    const Vector& pi0 = sol.boundary_level(0);
+    for (std::size_t ja = 0; ja < m_a_; ++ja)
+      for (std::size_t jf = 0; jf < m_f_; ++jf)
+        out.atom_flow += pi0[index_level0(ja, jf)] * sf0[jf];
+  }
+  xi.clear();
+  auto add_slice_starts = [&](std::size_t i, const Vector& pi) {
+    const std::size_t n_cfg = cfgs_.count(std::min(i, c_));
+    const std::size_t block_off = xi.size();
+    xi.resize(block_off + serving_dim(i), 0.0);
+    for (std::size_t ja = 0; ja < m_a_; ++ja) {
+      for (std::size_t cfg = 0; cfg < n_cfg; ++cfg) {
+        const std::size_t state = ja * n_cfg + cfg;
+        double flow = 0.0;
+        for (std::size_t jf = 0; jf < m_f_; ++jf)
+          flow += pi[state * w_ + m_q_ + jf] * sf0[jf];
+        if (flow == 0.0) continue;
+        for (std::size_t kq = 0; kq < m_q_; ++kq)
+          xi[block_off + state * m_q_ + kq] += flow * alpha_g[kq];
+      }
+    }
+  };
+  for (std::size_t i = 1; i <= c_; ++i)
+    add_slice_starts(i, sol.boundary_level(i));
+
   // Truncation depth: deep enough that the remaining geometric tail is
-  // below tail_eps. The lazy scan consumes the identical incremental
-  // dot/multiply chain as the eager tail_mass_sequence did, but stops
-  // paying the O(d^2) advance at l_max instead of always walking out to
-  // max_levels — the old scan's dominant cost at moderate loads.
+  // below tail_eps. The lazy scan carries pi_c R^k one multiply per
+  // level, and each level it visits is also the one whose slice starts xi
+  // needs next, so a single walk serves both.
   qbd::QbdSolution::TailScan scan = sol.tail_scan();
   scan.next();  // entry 0 (tail at the last boundary level): never tested
-  TruncScan out;
   out.l_max = c_ + 1;
   out.cap_tail = scan.next();
+  add_slice_starts(out.l_max, scan.level());
   while (out.l_max < trunc.max_levels && out.cap_tail > trunc.tail_eps) {
     ++out.l_max;
     out.cap_tail = scan.next();
+    add_slice_starts(out.l_max, scan.level());
   }
   if (out.cap_tail > trunc.tail_eps && out.cap_tail <= trunc.saturated_tail) {
     log::debug("effective quantum truncation capped at ", trunc.max_levels,
@@ -451,7 +487,7 @@ ClassProcess::TruncScan ClassProcess::truncation_scan(
 }
 
 EffectiveQuantum ClassProcess::saturated_quantum(const qbd::QbdSolution& sol,
-                                                 std::size_t l_max,
+                                                 const TruncScan& scan,
                                                  bool want_exact) const {
   // The class operates so close to its stability boundary that the
   // geometric tail barely decays: the queue essentially never drains
@@ -462,15 +498,9 @@ EffectiveQuantum ClassProcess::saturated_quantum(const qbd::QbdSolution& sol,
   // meaningful and tiny).
   const Vector& sf0 = away_.exit_rates();
   EffectiveQuantum out;
-  out.truncation_levels = l_max;
-  double atom_flow = 0.0;
+  out.truncation_levels = scan.l_max;
+  const double atom_flow = scan.atom_flow;
   double busy_flow = 0.0;
-  {
-    const Vector& pi0 = sol.boundary_level(0);
-    for (std::size_t ja = 0; ja < m_a_; ++ja)
-      for (std::size_t jf = 0; jf < m_f_; ++jf)
-        atom_flow += pi0[index_level0(ja, jf)] * sf0[jf];
-  }
   // Busy-slice-start flow over ALL levels >= 1: explicit boundary
   // levels plus the aggregated matrix-geometric tail (the whole point
   // here is that the tail does not fit under the level cap).
@@ -507,8 +537,7 @@ std::size_t ClassProcess::serving_index(std::size_t level, std::size_t j_a,
 }
 
 void ClassProcess::assemble_censored_chain(
-    std::size_t l_max, std::vector<Matrix>& diag, std::vector<Matrix>& upper,
-    std::vector<Matrix>& lower) const {
+    std::size_t l_max, std::vector<linalg::BlockRow>& rows) const {
   const Matrix& sa = arrival_.generator();
   const Vector& sa0 = arrival_.exit_rates();
   const Vector& alpha_a = arrival_.alpha();
@@ -521,25 +550,18 @@ void ClassProcess::assemble_censored_chain(
   auto sidx = [&](std::size_t i, std::size_t ja, std::size_t cfg_idx,
                   std::size_t k) { return serving_index(i, ja, cfg_idx, k); };
 
-  // Assemble the block-tridiagonal sub-generator T over serving states:
-  // diag[i-1], upper (arrivals), lower (completions staying busy).
-  diag.clear();
-  upper.clear();
-  lower.clear();
-  diag.reserve(l_max);
-  upper.reserve(l_max - 1);
-  lower.reserve(l_max - 1);
-  for (std::size_t i = 1; i <= l_max; ++i) {
-    diag.emplace_back(sdim(i), sdim(i));
-    if (i < l_max) {
-      upper.emplace_back(sdim(i), sdim(i + 1));
-      lower.emplace_back(sdim(i + 1), sdim(i));
-    }
-  }
-
-  for (std::size_t i = 1; i <= l_max; ++i) {
+  // Block row of -T for level i: diag (within-level moves), upper
+  // (arrivals, censored at l_max) and lower (completions staying busy).
+  // Rates are subtracted from -0.0 — the bits of a negated empty entry —
+  // so every entry is exactly the negation of T assembled from +0.0:
+  // IEEE negation is exact and rounding is sign-symmetric.
+  auto level_row = [&](std::size_t i, std::size_t repeat) {
+    linalg::BlockRow row;
+    row.repeat = repeat;
+    row.diag = Matrix(sdim(i), sdim(i), -0.0);
+    if (i > 1) row.lower = Matrix(sdim(i), sdim(i - 1), -0.0);
+    if (i < l_max) row.upper = Matrix(sdim(i), sdim(i + 1), -0.0);
     const std::size_t s = std::min(i, c_);
-    Matrix& dblk = diag[i - 1];
     for (std::size_t ja = 0; ja < m_a_; ++ja) {
       for (const Config& cfg : cfgs_.configs(s)) {
         const std::size_t cfg_idx = cfgs_.index_of(cfg);
@@ -549,7 +571,7 @@ void ClassProcess::assemble_censored_chain(
           // Arrival-phase internals.
           for (std::size_t ja2 = 0; ja2 < m_a_; ++ja2) {
             if (ja2 == ja) continue;
-            dblk(from, sidx(i, ja2, cfg_idx, k)) += sa(ja, ja2);
+            row.diag(from, sidx(i, ja2, cfg_idx, k)) -= sa(ja, ja2);
             out += sa(ja, ja2);
           }
           // Arrivals: censored at the truncation boundary.
@@ -561,12 +583,12 @@ void ClassProcess::assemble_censored_chain(
                 for (std::size_t n = 0; n < m_b_; ++n) {
                   if (beta[n] == 0.0) continue;
                   const Config up_cfg = cfgs_.with_added(cfg, n);
-                  upper[i - 1](from, sidx(i + 1, ja2,
-                                          cfgs_.index_of(up_cfg), k)) +=
+                  row.upper(from,
+                            sidx(i + 1, ja2, cfgs_.index_of(up_cfg), k)) -=
                       base * beta[n];
                 }
               } else {
-                upper[i - 1](from, sidx(i + 1, ja2, cfg_idx, k)) += base;
+                row.upper(from, sidx(i + 1, ja2, cfg_idx, k)) -= base;
               }
               out += base;
             }
@@ -580,7 +602,7 @@ void ClassProcess::assemble_censored_chain(
               const double rate = jobs * sb(n, n2);
               if (rate == 0.0) continue;
               const Config moved = cfgs_.with_moved(cfg, n, n2);
-              dblk(from, sidx(i, ja, cfgs_.index_of(moved), k)) += rate;
+              row.diag(from, sidx(i, ja, cfgs_.index_of(moved), k)) -= rate;
               out += rate;
             }
             const double crate = jobs * sb0[n];
@@ -589,16 +611,15 @@ void ClassProcess::assemble_censored_chain(
             if (i == 1) continue;
             if (i <= c_) {
               const Config down_cfg = cfgs_.with_removed(cfg, n);
-              lower[i - 2](from,
-                           sidx(i - 1, ja, cfgs_.index_of(down_cfg), k)) +=
+              row.lower(from, sidx(i - 1, ja, cfgs_.index_of(down_cfg), k)) -=
                   crate;
             } else {
               for (std::size_t n2 = 0; n2 < m_b_; ++n2) {
                 if (beta[n2] == 0.0) continue;
                 const Config refilled =
                     cfgs_.with_added(cfgs_.with_removed(cfg, n), n2);
-                lower[i - 2](from,
-                             sidx(i - 1, ja, cfgs_.index_of(refilled), k)) +=
+                row.lower(from,
+                          sidx(i - 1, ja, cfgs_.index_of(refilled), k)) -=
                     crate * beta[n2];
               }
             }
@@ -606,85 +627,44 @@ void ClassProcess::assemble_censored_chain(
           // Quantum internals and expiry (expiry absorbs).
           for (std::size_t k2 = 0; k2 < m_q_; ++k2) {
             if (k2 == k) continue;
-            dblk(from, sidx(i, ja, cfg_idx, k2)) += sg(k, k2);
+            row.diag(from, sidx(i, ja, cfg_idx, k2)) -= sg(k, k2);
             out += sg(k, k2);
           }
           out += quantum_.exit_rates()[k];
-          dblk(from, from) -= out;
+          row.diag(from, from) += out;
         }
       }
     }
-  }
-}
+    return row;
+  };
 
-double ClassProcess::slice_start_vector(const qbd::QbdSolution& sol,
-                                        std::size_t l_max, Vector& xi) const {
-  const Vector& alpha_g = quantum_.alpha();
-  const Vector& sf0 = away_.exit_rates();
-
-  // Initial vector xi: the Palm distribution of slice beginnings — flow
-  // through the away-exit transitions, split by the quantum's initial
-  // vector; the level-0 flow is the atom (zero-length slice).
-  std::size_t total_dim = 0;
-  for (std::size_t i = 1; i <= l_max; ++i) total_dim += serving_dim(i);
-  xi.assign(total_dim, 0.0);
-  double atom_flow = 0.0;
-  {
-    const Vector& pi0 = sol.boundary_level(0);
-    for (std::size_t ja = 0; ja < m_a_; ++ja)
-      for (std::size_t jf = 0; jf < m_f_; ++jf)
-        atom_flow += pi0[index_level0(ja, jf)] * sf0[jf];
-  }
-  // Walk the levels with one carried pi_b R^k vector: level(i) recomputes
-  // the whole power chain from pi_b each call, and advancing the carried
-  // vector one multiply per level consumes the identical chain, so the
-  // bits match while the cost drops from O(l_max^2 d^2) to O(l_max d^2).
-  const std::size_t b = sol.boundary_levels() - 1;
-  Vector carried;
-  std::size_t block_off = 0;
-  for (std::size_t i = 1; i <= l_max; ++i) {
-    const Vector* pi;
-    if (i <= b) {
-      pi = &sol.boundary_level(i);
-    } else {
-      carried = i == b + 1 ? sol.boundary_level(b) * sol.r()
-                           : carried * sol.r();
-      pi = &carried;
-    }
-    const std::size_t s = std::min(i, c_);
-    for (std::size_t ja = 0; ja < m_a_; ++ja) {
-      for (std::size_t cfg = 0; cfg < cfgs_.count(s); ++cfg) {
-        double flow = 0.0;
-        for (std::size_t jf = 0; jf < m_f_; ++jf)
-          flow += (*pi)[index(i, ja, cfg, m_q_ + jf)] * sf0[jf];
-        if (flow == 0.0) continue;
-        for (std::size_t kq = 0; kq < m_q_; ++kq)
-          xi[block_off + serving_index(i, ja, cfg, kq)] += flow * alpha_g[kq];
-      }
-    }
-    block_off += serving_dim(i);
-  }
-  return atom_flow;
+  // Levels 1..c are distinct. Above c every level up to l_max - 1 has the
+  // same blocks (full configuration space, arrivals in, completions
+  // refill), so they are one repeated row; the censored level l_max (no
+  // arrivals) closes the chain.
+  rows.clear();
+  for (std::size_t i = 1; i <= c_; ++i) rows.push_back(level_row(i, 1));
+  if (l_max > c_ + 1) rows.push_back(level_row(c_ + 1, l_max - c_ - 1));
+  rows.push_back(level_row(l_max, 1));
 }
 
 EffectiveQuantum ClassProcess::effective_quantum(
     const qbd::QbdSolution& sol, const TruncationOptions& trunc,
     bool want_exact) const {
-  const TruncScan scan = truncation_scan(sol, trunc);
+  Vector xi;
+  const TruncScan scan = truncation_scan(sol, trunc, xi);
   const std::size_t l_max = scan.l_max;
   if (scan.cap_tail > trunc.saturated_tail) {
     log::debug("effective quantum saturated (tail mass ", scan.cap_tail,
                " at the level cap); using the full quantum");
-    return saturated_quantum(sol, l_max, want_exact);
+    return saturated_quantum(sol, scan, want_exact);
   }
 
-  std::vector<Matrix> diag, upper, lower;
-  assemble_censored_chain(l_max, diag, upper, lower);
-
-  Vector xi;
-  const double atom_flow = slice_start_vector(sol, l_max, xi);
+  std::vector<linalg::BlockRow> neg_t;
+  assemble_censored_chain(l_max, neg_t);
   const std::size_t total_dim = xi.size();
 
+  const double atom_flow = scan.atom_flow;
   double total_flow = atom_flow;
   for (double v : xi) total_flow += v;
   GS_CHECK(total_flow > 0.0,
@@ -695,28 +675,31 @@ EffectiveQuantum ClassProcess::effective_quantum(
   out.atom = atom_flow / total_flow;
   out.truncation_levels = l_max;
 
-  // Moments via two block-tridiagonal solves with -T.
-  std::vector<Matrix> ndiag = diag, nupper = upper, nlower = lower;
-  for (auto& m : ndiag) m *= -1.0;
-  for (auto& m : nupper) m *= -1.0;
-  for (auto& m : nlower) m *= -1.0;
-  const Vector v1 =
-      linalg::block_tridiag_solve(ndiag, nupper, nlower,
-                                  linalg::ones(total_dim));
+  // Both moments through one factorization of -T: v1 = (-T)^{-1} e,
+  // v2 = (-T)^{-1} v1.
+  const linalg::BlockTridiagFactor factor(neg_t);
+  out.factored_levels = factor.distinct_factors();
+  const Vector v1 = factor.solve(linalg::ones(total_dim));
   out.m1 = linalg::dot(xi, v1);
-  const Vector v2 = linalg::block_tridiag_solve(ndiag, nupper, nlower, v1);
+  const Vector v2 = factor.solve(v1);
   out.m2 = 2.0 * linalg::dot(xi, v2);
 
   if (want_exact) {
+    // The exact representation needs T itself: expand the runs, negating
+    // each block back (exact).
     Matrix t(total_dim, total_dim);
+    auto put_negated = [&t](std::size_t r0, std::size_t c0, const Matrix& m) {
+      for (std::size_t r = 0; r < m.rows(); ++r)
+        for (std::size_t c = 0; c < m.cols(); ++c) t(r0 + r, c0 + c) = -m(r, c);
+    };
     std::size_t roff = 0;
-    for (std::size_t i = 0; i < l_max; ++i) {
-      t.insert_block(roff, roff, diag[i]);
-      if (i + 1 < l_max) {
-        t.insert_block(roff, roff + diag[i].rows(), upper[i]);
-        t.insert_block(roff + diag[i].rows(), roff, lower[i]);
+    for (const linalg::BlockRow& row : neg_t) {
+      for (std::size_t j = 0; j < row.repeat; ++j) {
+        put_negated(roff, roff, row.diag);
+        put_negated(roff, roff - row.lower.cols(), row.lower);
+        put_negated(roff, roff + row.diag.rows(), row.upper);
+        roff += row.diag.rows();
       }
-      roff += diag[i].rows();
     }
     out.exact.emplace(xi, std::move(t));
   }

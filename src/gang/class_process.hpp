@@ -31,6 +31,10 @@
 #include "gang/service_config.hpp"
 #include "qbd/solver.hpp"
 
+namespace gs::linalg {
+struct BlockRow;
+}  // namespace gs::linalg
+
 namespace gs::gang {
 
 /// Options controlling the truncation used when extracting the effective
@@ -66,6 +70,11 @@ struct EffectiveQuantum {
   double m2 = 0.0;       ///< E[T~^2]
   /// Truncation depth the extraction actually used (l_max).
   std::size_t truncation_levels = 0;
+  /// Distinct level factorizations the moment solves needed: levels
+  /// whose Schur complement repeats its predecessor's bits share its
+  /// factors, so this stays far below l_max on deep chains (0 in the
+  /// saturated regime, which solves nothing).
+  std::size_t factored_levels = 0;
   /// Truncated exact PH representation (defective initial vector); only
   /// materialized when requested — its order grows with the truncation
   /// depth, so it is meant for validation and small models.
@@ -160,30 +169,28 @@ class ClassProcess {
   struct TruncScan {
     std::size_t l_max = 0;    // truncation depth the scan settled on
     double cap_tail = 0.0;    // tail mass at that depth
+    double atom_flow = 0.0;   // level-0 slice-start flow (the atom)
   };
-  // Incremental tail-mass scan for the truncation depth (the lazy twin
-  // of the old eager tail_mass_sequence scan, same consumed bits).
+  // One walk over the levels: the truncation depth from the incremental
+  // tail-mass scan, and the unnormalized slice-start vector xi over levels
+  // 1..l_max from the same carried pi_c R^k vectors.
   TruncScan truncation_scan(const qbd::QbdSolution& sol,
-                            const TruncationOptions& trunc) const;
+                            const TruncationOptions& trunc,
+                            linalg::Vector& xi) const;
   // Theorem 4.1's saturated regime: atom from the captured slice-start
   // flow, moments of the full quantum.
   EffectiveQuantum saturated_quantum(const qbd::QbdSolution& sol,
-                                     std::size_t l_max,
+                                     const TruncScan& scan,
                                      bool want_exact) const;
   // Serving-state block dimension / within-block index at a level >= 1.
   std::size_t serving_dim(std::size_t level) const;
   std::size_t serving_index(std::size_t level, std::size_t j_a,
                             std::size_t cfg_idx, std::size_t k) const;
-  // Assemble the censored block-tridiagonal sub-generator T over serving
-  // states for levels 1..l_max.
+  // Assemble -T, the negated censored sub-generator over serving states
+  // for levels 1..l_max, as block rows: levels 1..c, one repeated row for
+  // the level-independent levels c+1..l_max-1, and the censored l_max.
   void assemble_censored_chain(std::size_t l_max,
-                               std::vector<linalg::Matrix>& diag,
-                               std::vector<linalg::Matrix>& upper,
-                               std::vector<linalg::Matrix>& lower) const;
-  // Fill the unnormalized slice-start vector xi (sized for l_max levels)
-  // and return the level-0 atom flow.
-  double slice_start_vector(const qbd::QbdSolution& sol, std::size_t l_max,
-                            linalg::Vector& xi) const;
+                               std::vector<linalg::BlockRow>& rows) const;
 
   std::size_t p_;
   std::size_t c_;        // partitions (P / g)

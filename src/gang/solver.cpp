@@ -194,8 +194,12 @@ SolveReport GangSolver::run(const std::vector<PhaseType>& init_slices) const {
       report.per_class.clear();
       report.per_class.reserve(L);
       report.final_slices.reserve(L);
-      for (std::size_t p = 0; p < L; ++p)
-        report.final_slices.push_back(effq[p].fitted(options_.fit_max_order));
+      {
+        obs::Span fit_span("gang.fit");
+        for (std::size_t p = 0; p < L; ++p)
+          report.final_slices.push_back(
+              effq[p].fitted(options_.fit_max_order));
+      }
       for (std::size_t p = 0; p < L; ++p) {
         ClassResult r;
         r.name = params_.cls(p).name.empty()
@@ -223,10 +227,13 @@ SolveReport GangSolver::run(const std::vector<PhaseType>& init_slices) const {
       return report;
     }
 
-    for (std::size_t q = 0; q < L; ++q) {
-      slices[q] = options_.eff_mode == EffQuantumMode::kExact
-                      ? *effq[q].exact
-                      : effq[q].fitted(options_.fit_max_order);
+    {
+      obs::Span fit_span("gang.fit");
+      for (std::size_t q = 0; q < L; ++q) {
+        slices[q] = options_.eff_mode == EffQuantumMode::kExact
+                        ? *effq[q].exact
+                        : effq[q].fitted(options_.fit_max_order);
+      }
     }
     log::debug("gang fixed point iteration ", iter, ": delta=", delta);
   }

@@ -77,6 +77,11 @@ Lu::Lu(const Matrix& a, double pivot_tol) {
 Vector Lu::solve(const Vector& b) const {
   GS_CHECK(b.size() == n_, "LU solve: rhs length mismatch");
   Vector y(n_);
+  solve_into(b.data(), y.data());
+  return y;
+}
+
+void Lu::solve_into(const double* b, double* y) const {
   // Forward substitution with L (unit diagonal), applying P to b.
   for (std::size_t i = 0; i < n_; ++i) {
     double s = b[perm_[i]];
@@ -89,7 +94,6 @@ Vector Lu::solve(const Vector& b) const {
     for (std::size_t j = ii + 1; j < n_; ++j) s -= lu_(ii, j) * y[j];
     y[ii] = s / lu_(ii, ii);
   }
-  return y;
 }
 
 Matrix Lu::solve(const Matrix& b) const {

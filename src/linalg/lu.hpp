@@ -21,6 +21,9 @@ class Lu {
 
   /// Solve A x = b (column system).
   Vector solve(const Vector& b) const;
+  /// Solve A x = b over raw storage of size() entries each, without
+  /// allocating; `x` must not alias `b`. Same arithmetic as solve(b).
+  void solve_into(const double* b, double* x) const;
   /// Solve A X = B column-by-column.
   Matrix solve(const Matrix& b) const;
   /// Solve A X = B into `x`, reusing its storage (no allocation when the

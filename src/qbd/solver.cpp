@@ -1,6 +1,7 @@
 #include "qbd/solver.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "linalg/lu.hpp"
 #include "linalg/spectral.hpp"
@@ -40,7 +41,8 @@ double QbdSolution::TailScan::next() {
   if (first_) {
     first_ = false;
   } else {
-    v_ = v_ * sol_.r_;
+    linalg::multiply_left_into(next_, v_, sol_.r_);
+    std::swap(v_, next_);
   }
   return linalg::dot(v_, w_);
 }

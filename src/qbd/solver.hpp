@@ -94,12 +94,16 @@ class QbdSolution {
    public:
     /// tail_mass_from(k) where k counts prior next() calls (0-based).
     double next();
+    /// The level vector pi_b R^k behind the latest next() — level(b + k)
+    /// with the same bits, without recomputing the power chain.
+    const Vector& level() const { return v_; }
 
    private:
     friend class QbdSolution;
     explicit TailScan(const QbdSolution& sol);
     const QbdSolution& sol_;
     Vector v_;   // pi_b R^k, advanced one multiply per next() after the first
+    Vector next_;  // v_ R, swapped into v_ (storage reused across steps)
     Vector w_;   // (I-R)^{-1} e, fixed
     bool first_ = true;
   };

@@ -147,6 +147,13 @@ std::string solve_line(double arrival_rate, const std::string& id) {
   return req.dump();
 }
 
+// Points in the sweep that holds the only executor in the admission
+// tests. It has to outlast the 200 ms settle sleep plus the requests sent
+// behind it, whatever the solver's speed: 24 points take ~0.8 s on a
+// 4-core host (a 6-point blocker already finished inside the sleep once
+// the effective-quantum refit got faster).
+constexpr int kBlockerPoints = 24;
+
 std::string sweep_line(int points, const std::string& id) {
   Json req = Json::object();
   req.set("op", "sweep");
@@ -225,7 +232,7 @@ TEST(EventLoopDaemon, IdenticalConcurrentSolvesCoalesceToOneExecution) {
 
   Client blocker;
   blocker.connect(server.port());
-  blocker.send_line(sweep_line(/*points=*/6, "blocker"));
+  blocker.send_line(sweep_line(kBlockerPoints, "blocker"));
   // Give the loop time to admit the sweep and occupy the one executor.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
@@ -278,7 +285,7 @@ TEST(EventLoopDaemon, OverloadShedsWithStructuredErrors) {
 
   Client blocker;
   blocker.connect(server.port());
-  blocker.send_line(sweep_line(/*points=*/6, "blocker"));
+  blocker.send_line(sweep_line(kBlockerPoints, "blocker"));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   constexpr int kOffered = 4;
@@ -329,7 +336,7 @@ TEST(EventLoopDaemon, ControlOpsBypassAdmissionControl) {
 
   Client blocker;
   blocker.connect(server.port());
-  blocker.send_line(sweep_line(/*points=*/6, "blocker"));
+  blocker.send_line(sweep_line(kBlockerPoints, "blocker"));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   // A solve behind the blocker is shed...
